@@ -445,8 +445,7 @@ func BenchmarkTab4Reliability(b *testing.B) {
 }
 
 // loadColdDir builds a directory holding several uncompacted cloud-tier L0
-// tables, so a reopen can drive (and time) one large compaction or a cold
-// scan under chosen I/O pipeline knobs.
+// tables, so a reopen can drive a cold scan under chosen readahead.
 func loadColdDir(b *testing.B, records int) string {
 	b.Helper()
 	dir := b.TempDir()
@@ -470,43 +469,6 @@ func loadColdDir(b *testing.B, records int) string {
 		b.Fatal(err)
 	}
 	return dir
-}
-
-// BenchmarkPipelinedCompaction times one cloud-tier compaction pass with
-// the I/O pipeline off (serial block GETs, serial uploads) and on
-// (prefetched span GETs, overlapped uploads).
-func BenchmarkPipelinedCompaction(b *testing.B) {
-	const records = 8000
-	variants := []struct {
-		name               string
-		prefetch, parallel int
-	}{
-		{"serial", 0, 1},
-		{"pipelined", 16, 4},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir := loadColdDir(b, records)
-				o := benchOptions(rocksmash.PolicyCloudOnly)
-				o.CompactionPrefetchBlocks = v.prefetch
-				o.UploadParallelism = v.parallel
-				d, err := rocksmash.Open(dir, &o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := d.CompactAll(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := d.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkColdScan times a full scan of a cloud-resident tree through a

@@ -158,8 +158,10 @@ func (d *DB) doCompaction(c *compaction) error {
 		})
 	}
 
-	// Build the merged input iterator, pipelining cloud-tier block reads
-	// through span prefetchers when CompactionPrefetchBlocks is enabled.
+	// Build the merged input iterator. Every cloud-tier input reads through
+	// a span prefetcher (one range GET per compactionSpanBlocks blocks,
+	// running ahead of the merge on a shared worker pool); local inputs read
+	// block by block, where a request costs no first-byte latency.
 	var (
 		children []internalIterator
 		pool     *prefetchPool
@@ -175,19 +177,16 @@ func (d *DB) doCompaction(c *compaction) error {
 			}
 			return err
 		}
-		var fetch sstable.FetchFunc
-		if d.opts.CompactionPrefetchBlocks > 1 && f.Tier == storage.TierCloud {
+		fetch := d.tables.compactionFetchFor(h)
+		if f.Tier == storage.TierCloud {
 			if pool == nil {
 				pool = newPrefetchPool()
 			}
-			if pf, perr := newTablePrefetcher(h.reader, pool, d.opts.CompactionPrefetchBlocks, &d.stats); perr == nil {
+			// An unreadable block index will fail the merge too; let the
+			// direct path surface the error.
+			if pf, perr := newTablePrefetcher(h.reader, pool, d.opts.compactionSpanBlocks, &d.stats); perr == nil {
 				fetch = d.tables.prefetchFetchFor(h, pf)
 			}
-			// An unreadable block index will fail the merge too; let the
-			// unpipelined path surface the error.
-		}
-		if fetch == nil {
-			fetch = d.tables.compactionFetchFor(h)
 		}
 		if readNS != nil {
 			fetch = timedFetch(fetch, readNS)
@@ -203,12 +202,13 @@ func (d *DB) doCompaction(c *compaction) error {
 	}
 
 	// Finished outputs are handed to the upload pool as they complete, so
-	// uploads overlap the remaining merge work; wait gathers them before
-	// the manifest edit, and abort removes any already-uploaded objects on
-	// failure so an aborted compaction leaves no orphans behind.
+	// uploads overlap the remaining merge work and each output's buffer is
+	// released once it is durable; wait gathers them before the manifest
+	// edit, and abort removes any already-uploaded objects on failure so an
+	// aborted compaction leaves no orphans behind.
 	warm := d.opts.Policy == PolicyMash && d.opts.CompactionInheritance &&
 		outTier == storage.TierCloud && inputHeat > 0
-	up := d.newUploader(d.opts.UploadParallelism, warm)
+	up := d.newUploader(warm)
 	fail := func(err error) error {
 		up.abort()
 		return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -406,6 +407,64 @@ func TestRecoveryAfterCrash(t *testing.T) {
 				t.Fatal("nothing recovered from WAL")
 			}
 		})
+	}
+}
+
+// TestGetDuringRecoveredFlushSeesRecoveredValue holds the flush of a
+// WAL-recovered memtable inside its table upload and reads a key whose
+// newest version lives only in that memtable: the Get must return the
+// recovered value, not the older one already in the tree.
+func TestGetDuringRecoveredFlushSeesRecoveredValue(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions(PolicyCloudOnly) // L0 lands in the cloud, where the hook sees it
+	d, err := OpenAt(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, d, "k", "old")
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, d, "k", "new")
+	d.CrashForTest()
+
+	d2, err := OpenAt(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if d2.RecoveryReport().RecoveredKeys == 0 {
+		t.Fatal("nothing recovered from WAL")
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	// Deferred after d2.Close, so it runs first: a failed check must not
+	// leave Close waiting on the held upload.
+	defer unblock()
+	d2.cloudSim.SetFailureHook(func(op, name string) error {
+		if op == "PUT" && strings.HasPrefix(name, "sst/") {
+			enterOnce.Do(func() { close(entered) })
+			<-release
+		}
+		return nil
+	})
+	flushed := make(chan error, 1)
+	go func() { flushed <- d2.Flush() }()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("flush of the recovered memtable never reached its upload")
+	}
+	mustGet(t, d2, "k", "new")
+	unblock()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	d2.cloudSim.SetFailureHook(nil)
+	mustGet(t, d2, "k", "new")
+	if n := len(d2.rs.Load().recovered); n != 0 {
+		t.Fatalf("%d recovered memtables still readable after their flush", n)
 	}
 }
 

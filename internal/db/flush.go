@@ -194,11 +194,13 @@ func (d *DB) warmPCache(t *builtTable) error {
 }
 
 // flushMemtable builds an L0 table from imm plus any memtables rebuilt by
-// WAL recovery, and installs it. imm may be nil (recovery-only flush).
+// WAL recovery, and installs it. imm may be nil (recovery-only flush). The
+// recovered memtables stay in the read state until the table holding their
+// data is installed, so a concurrent Get never falls through to an older
+// version in the tree.
 func (d *DB) flushMemtable(imm *memtable.MemTable) error {
 	d.mu.Lock()
-	rec := d.takeRecoveredLocked()
-	d.updateReadStateLocked()
+	rec := d.recovered
 	d.mu.Unlock()
 
 	// The memtable was sealed under d.mu, after which no commit group can
@@ -226,15 +228,6 @@ func (d *DB) flushMemtable(imm *memtable.MemTable) error {
 	}
 	d.evFlushBegin(reason)
 	flushStart := time.Now()
-	restoreOnError := func() {
-		if len(rec) == 0 {
-			return
-		}
-		d.mu.Lock()
-		d.recovered = append(rec, d.recovered...)
-		d.updateReadStateLocked()
-		d.mu.Unlock()
-	}
 
 	num := d.vs.NewFileNum()
 	tier := d.opts.tierForLevel(0)
@@ -248,17 +241,14 @@ func (d *DB) flushMemtable(imm *memtable.MemTable) error {
 	it := newMergingIter(children...)
 	for it.First(); it.Valid(); it.Next() {
 		if err := b.Add(it.Key(), it.Value()); err != nil {
-			restoreOnError()
 			return err
 		}
 	}
 	if err := it.Err(); err != nil {
-		restoreOnError()
 		return err
 	}
 	props, err := b.Finish()
 	if err != nil {
-		restoreOnError()
 		return err
 	}
 	t := &builtTable{
@@ -275,7 +265,6 @@ func (d *DB) flushMemtable(imm *memtable.MemTable) error {
 		data:    w.buf.Bytes(),
 	}
 	if err := d.uploadTable(t); err != nil {
-		restoreOnError()
 		return fmt.Errorf("db: flush upload: %w", err)
 	}
 	// uploadTable may have landed the table locally (degraded mode); trust
@@ -284,7 +273,6 @@ func (d *DB) flushMemtable(imm *memtable.MemTable) error {
 		// Fresh L0 data is by definition hot; write it through to the
 		// persistent cache so first reads don't pay a cloud round trip.
 		if err := d.warmPCache(t); err != nil {
-			restoreOnError()
 			return err
 		}
 	}
@@ -297,8 +285,15 @@ func (d *DB) flushMemtable(imm *memtable.MemTable) error {
 		LastSeq:       d.lastSeq.Load(),
 	}
 	if err := d.vs.LogAndApply(edit); err != nil {
-		restoreOnError()
 		return err
+	}
+	if len(rec) > 0 {
+		// Recovery sets the list once at open and only flushes shrink it,
+		// so the memtables just flushed are still its prefix.
+		d.mu.Lock()
+		d.recovered = d.recovered[len(rec):]
+		d.updateReadStateLocked()
+		d.mu.Unlock()
 	}
 	d.pcache.SetLevel(t.meta.Num, 0)
 	d.stats.Flushes.Add(1)

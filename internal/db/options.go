@@ -87,16 +87,6 @@ type Options struct {
 	// the Fig. 10 ablation.
 	CompactionInheritance bool
 
-	// CompactionPrefetchBlocks coalesces data-block reads of cloud-tier
-	// compaction inputs: a prefetcher walks each input's block index ahead
-	// of the merge iterator and issues range GETs of up to this many blocks
-	// into a lookahead buffer, hiding per-request first-byte latency.
-	// <= 1 disables prefetch (each block is its own GET, today's behavior).
-	CompactionPrefetchBlocks int
-	// UploadParallelism is the number of compaction output tables uploaded
-	// concurrently, overlapped with the ongoing merge. <= 1 uploads
-	// serially on the compaction goroutine (today's behavior).
-	UploadParallelism int
 	// IteratorReadaheadBlocks escalates sequential scans over cloud-tier
 	// tables to multi-block range GETs of up to this many blocks; the extra
 	// blocks are bulk-admitted into the persistent cache and block cache.
@@ -287,6 +277,13 @@ type Options struct {
 	// pcacheDir overrides where the persistent cache lives; set by OpenAt.
 	pcacheDir string
 
+	// Compaction I/O widths: blocks per cloud input range GET and output
+	// uploads in flight. Zero takes the pipeline's fixed widths; the tests
+	// set both to 1 to get the serial oracle (one GET per block, one upload
+	// at a time) through the same code path.
+	compactionSpanBlocks int
+	uploadWorkers        int
+
 	// Sharding internals, set by openSharded on the Options handed to each
 	// child Open. sharedSeqs doubles as the "this DB is a keyspace shard"
 	// marker (see DB.isShard); the rest plumb the facade-owned resources
@@ -359,11 +356,11 @@ func (o Options) sanitize() Options {
 	if o.PCacheRegionBytes <= 0 {
 		o.PCacheRegionBytes = d.PCacheRegionBytes
 	}
-	if o.CompactionPrefetchBlocks < 0 {
-		o.CompactionPrefetchBlocks = 0
+	if o.compactionSpanBlocks < 1 {
+		o.compactionSpanBlocks = defaultViewSpanBlocks
 	}
-	if o.UploadParallelism < 1 {
-		o.UploadParallelism = 1
+	if o.uploadWorkers < 1 {
+		o.uploadWorkers = prefetchWorkers
 	}
 	if o.IteratorReadaheadBlocks < 0 {
 		o.IteratorReadaheadBlocks = 0

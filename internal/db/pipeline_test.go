@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
+	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
 
@@ -19,7 +21,7 @@ func pipelineValue(i int) string {
 
 // loadPipelineDir builds a DB directory with nkeys keys spread over several
 // cloud-tier L0 tables and no compactions, so a later reopen can drive one
-// big compaction under controlled pipeline knobs. The load phase is
+// big compaction under controlled I/O widths. The load phase is
 // identical for every variant, making the reopened trees comparable.
 func loadPipelineDir(t *testing.T, nkeys int) string {
 	t.Helper()
@@ -44,14 +46,14 @@ func loadPipelineDir(t *testing.T, nkeys int) string {
 }
 
 // reopenPipeline reopens a loaded directory with compaction enabled and the
-// given pipeline knobs.
-func reopenPipeline(t *testing.T, dir string, lat storage.LatencyModel, prefetch, uploads, readahead int) *DB {
+// given I/O widths: blocks per compaction range GET, compaction uploads in
+// flight (both 1 for the serial oracle, 0 for the defaults) and iterator
+// readahead.
+func reopenPipeline(t *testing.T, dir string, lat storage.LatencyModel, spanBlocks, uploads, readahead int) *DB {
 	t.Helper()
-	o := testOptions(PolicyCloudOnly)
+	o := testOptions(PolicyCloudOnly).withCompactionIO(spanBlocks, uploads)
 	o.L0CompactTrigger = 2
 	o.CloudLatency = lat
-	o.CompactionPrefetchBlocks = prefetch
-	o.UploadParallelism = uploads
 	o.IteratorReadaheadBlocks = readahead
 	d, err := OpenAt(dir, o)
 	if err != nil {
@@ -92,16 +94,16 @@ func scanAll(t *testing.T, d *DB) []string {
 	return out
 }
 
-// TestPipelineEquivalence drives the same compaction work serially and with
-// every pipeline knob enabled, and requires identical logical results —
+// TestPipelineEquivalence drives the same compaction work at the serial
+// widths and at the defaults, and requires identical logical results —
 // same table shapes, same scan contents — with strictly fewer cloud GETs on
 // the pipelined side.
 func TestPipelineEquivalence(t *testing.T) {
 	const nkeys = 3000
 
-	run := func(prefetch, uploads, readahead int) (shape string, scan []string, io storage.Snapshot, m Metrics) {
+	run := func(spanBlocks, uploads, readahead int) (shape string, scan []string, io storage.Snapshot, m Metrics) {
 		dir := loadPipelineDir(t, nkeys)
-		d := reopenPipeline(t, dir, storage.NoLatency(), prefetch, uploads, readahead)
+		d := reopenPipeline(t, dir, storage.NoLatency(), spanBlocks, uploads, readahead)
 		defer d.Close()
 		if err := d.CompactAll(); err != nil {
 			t.Fatal(err)
@@ -110,8 +112,8 @@ func TestPipelineEquivalence(t *testing.T) {
 		return levelShape(d), scanAll(t, d), io, d.Metrics()
 	}
 
-	serialShape, serialScan, serialIO, serialM := run(0, 1, 0)
-	pipeShape, pipeScan, pipeIO, pipeM := run(16, 4, 0)
+	serialShape, serialScan, serialIO, serialM := run(1, 1, 0)
+	pipeShape, pipeScan, pipeIO, pipeM := run(0, 0, 0)
 
 	if len(serialScan) != nkeys {
 		t.Fatalf("serial scan returned %d keys, want %d", len(serialScan), nkeys)
@@ -141,6 +143,128 @@ func TestPipelineEquivalence(t *testing.T) {
 	}
 }
 
+// TestDefaultCompactionCoalescesCloudReads runs one L0→L1 cloud compaction
+// under the default I/O widths: its inputs must be read through prefetch
+// spans, with at most one cloud GET per four data blocks.
+func TestDefaultCompactionCoalescesCloudReads(t *testing.T) {
+	dir := loadPipelineDir(t, 3000)
+
+	// Count the inputs' data blocks on a reopen that cannot compact.
+	o := testOptions(PolicyCloudOnly)
+	o.L0CompactTrigger = 100
+	o.L0StallFiles = 300
+	o.LevelBaseBytes = 64 << 20 // the merged L0 fits in L1: one compaction
+	ro, err := OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks int
+	for _, f := range ro.vs.Current().Levels[0] {
+		h, err := ro.tables.get(ro, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, err := h.reader.DataHandles()
+		h.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks += len(hs)
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	o.L0CompactTrigger = 2
+	d, err := OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	before := d.cloudSim.Stats().Snapshot()
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	gets := d.cloudSim.Stats().Snapshot().GetOps - before.GetOps
+	if got := d.DebugLevels(); got[0] != 0 || got[2] != 0 {
+		t.Fatalf("want one L0→L1 compaction, levels %v", got)
+	}
+	if m := d.Metrics(); m.PrefetchSpans == 0 {
+		t.Error("default compaction issued no prefetch spans")
+	}
+	t.Logf("%d data blocks read with %d cloud GETs", blocks, gets)
+	if gets*4 > int64(blocks) {
+		t.Errorf("default compaction issued %d cloud GETs for %d data blocks, want at most a quarter", gets, blocks)
+	}
+}
+
+// TestUploaderDropsBuffersAndAbortCleansUp hands finished cloud tables to
+// the compaction uploader. Once wait returns — the point where compaction
+// installs its outputs — no table may still hold its data buffer, and abort
+// must still delete every landed object and its metadata sidecar.
+func TestUploaderDropsBuffersAndAbortCleansUp(t *testing.T) {
+	o := testOptions(PolicyMash)
+	o.LocalLevels = 0
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	up := d.newUploader(true) // warming reads the buffer before it is dropped
+	var tables []*builtTable
+	for n := 0; n < 2*prefetchWorkers; n++ {
+		w := &memWriter{}
+		b := sstable.NewBuilder(w, sstable.BuilderOptions{BlockBytes: d.opts.BlockBytes, BloomBitsPerKey: 10})
+		for i := 0; i < 200; i++ {
+			ik := keys.MakeInternalKey(nil, []byte(fmt.Sprintf("t%02d-k%04d", n, i)), uint64(i+1), keys.KindSet)
+			if err := b.Add(ik, []byte(pipelineValue(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		props, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := &builtTable{
+			meta: manifest.FileMetadata{
+				Num: d.vs.NewFileNum(), Size: uint64(w.buf.Len()),
+				Smallest: props.Smallest, Largest: props.Largest,
+				MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
+				Tier: storage.TierCloud,
+			},
+			metaOff: b.MetaOffset(),
+			data:    w.buf.Bytes(),
+		}
+		tables = append(tables, tb)
+		up.add(tb)
+	}
+	if err := up.wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		if tb.data != nil {
+			t.Errorf("table %d still holds its %d-byte buffer after upload", tb.meta.Num, len(tb.data))
+		}
+		if _, err := d.cloud.Size(manifest.TableName(tb.meta.Num)); err != nil {
+			t.Errorf("table %d not in the cloud: %v", tb.meta.Num, err)
+		}
+		if _, err := d.local.Size(metaSidecarName(tb.meta.Num)); err != nil {
+			t.Errorf("table %d has no metadata sidecar: %v", tb.meta.Num, err)
+		}
+	}
+
+	up.abort()
+	for _, tb := range tables {
+		if _, err := d.cloud.Size(manifest.TableName(tb.meta.Num)); !errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("aborted table %d left in the cloud (err %v)", tb.meta.Num, err)
+		}
+		if _, err := d.local.Size(metaSidecarName(tb.meta.Num)); !errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("aborted table %d left its sidecar (err %v)", tb.meta.Num, err)
+		}
+	}
+}
+
 // TestCompactionOutageDegradesAndRecovers lets the first compaction output
 // upload land and then fails every later cloud sst PUT. Depending on when
 // the breaker trips relative to the merge, the compaction either degrades
@@ -152,7 +276,7 @@ func TestPipelineEquivalence(t *testing.T) {
 // scan sees all the data.
 func TestCompactionOutageDegradesAndRecovers(t *testing.T) {
 	dir := loadPipelineDir(t, 3000)
-	d := reopenPipeline(t, dir, storage.NoLatency(), 0, 2, 0)
+	d := reopenPipeline(t, dir, storage.NoLatency(), 1, 2, 0)
 	defer d.Close()
 
 	var sstPuts atomic.Int32
@@ -277,9 +401,9 @@ func TestCompactionPipelineSpeedup(t *testing.T) {
 	}
 	const nkeys = 3000
 
-	run := func(prefetch, uploads int) (time.Duration, storage.Snapshot) {
+	run := func(spanBlocks, uploads int) (time.Duration, storage.Snapshot) {
 		dir := loadPipelineDir(t, nkeys)
-		d := reopenPipeline(t, dir, storage.DefaultLatency(), prefetch, uploads, 0)
+		d := reopenPipeline(t, dir, storage.DefaultLatency(), spanBlocks, uploads, 0)
 		defer d.Close()
 		start := time.Now()
 		if err := d.CompactAll(); err != nil {
@@ -288,8 +412,8 @@ func TestCompactionPipelineSpeedup(t *testing.T) {
 		return time.Since(start), d.cloudSim.Stats().Snapshot()
 	}
 
-	serialDur, serialIO := run(0, 1)
-	pipeDur, pipeIO := run(16, 4)
+	serialDur, serialIO := run(1, 1)
+	pipeDur, pipeIO := run(0, 0)
 
 	t.Logf("serial:    %v  gets=%d", serialDur, serialIO.GetOps)
 	t.Logf("pipelined: %v  gets=%d", pipeDur, pipeIO.GetOps)
@@ -309,7 +433,7 @@ func TestIteratorReadaheadColdScan(t *testing.T) {
 
 	run := func(readahead int) ([]string, storage.Snapshot, Metrics) {
 		dir := loadPipelineDir(t, nkeys)
-		d := reopenPipeline(t, dir, storage.NoLatency(), 0, 1, readahead)
+		d := reopenPipeline(t, dir, storage.NoLatency(), 1, 1, readahead)
 		defer d.Close()
 		if err := d.CompactAll(); err != nil {
 			t.Fatal(err)

@@ -11,11 +11,11 @@ import (
 // Compaction prefetch: merging N sorted inputs consumes each table's data
 // blocks strictly in file order, so the read pattern is known in advance.
 // A prefetcher walks each cloud input's block index ahead of the merge
-// iterator and issues range GETs covering CompactionPrefetchBlocks blocks
-// at a time into a lookahead buffer. The merge loop then consumes decoded
-// blocks from memory instead of paying per-block first-byte latency, and
-// the span fetches of different inputs overlap each other through a shared
-// worker pool.
+// iterator and issues range GETs covering Options.compactionSpanBlocks
+// blocks at a time into a lookahead buffer. The merge loop then consumes
+// decoded blocks from memory instead of paying per-block first-byte
+// latency, and the span fetches of different inputs overlap each other
+// through a shared worker pool.
 
 // prefetchWorkers bounds concurrent span GETs per compaction. Object
 // stores serve parallel requests independently, so a handful of streams is
@@ -24,7 +24,7 @@ const prefetchWorkers = 4
 
 // prefetchLookaheadSpans is how many spans beyond the one being consumed
 // are kept in flight per table, bounding lookahead memory to roughly
-// lookahead × CompactionPrefetchBlocks × BlockBytes per input.
+// (1 + lookahead) × compactionSpanBlocks × BlockBytes per input.
 const prefetchLookaheadSpans = 2
 
 // prefetchPool runs span fetches for one compaction. The queue is
@@ -149,7 +149,8 @@ func (p *tablePrefetcher) fetchSpan(i int) {
 	p.state[i] = spanDone
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	if err == nil && p.stats != nil {
+	// Only coalesced reads count: a one-block span is a plain block GET.
+	if err == nil && p.stats != nil && len(p.spans[i]) > 1 {
 		p.stats.PrefetchSpans.Add(1)
 		p.stats.PrefetchBlocks.Add(int64(len(p.spans[i])))
 	}
@@ -216,9 +217,4 @@ func (tc *tableCache) prefetchFetchFor(h *tableHandle, pf *tablePrefetcher) ssta
 		}
 		return fallback(fileNum, hd, prof)
 	}
-}
-
-// newPrefetchTableIter is newCompactionTableIter with pipelined reads.
-func newPrefetchTableIter(h *tableHandle, tc *tableCache, pf *tablePrefetcher) *tableIter {
-	return &tableIter{h: h, it: h.reader.NewIterWithFetch(tc.prefetchFetchFor(h, pf))}
 }

@@ -40,13 +40,6 @@ func getFromRecovered(ms []*memtable.MemTable, key []byte, seq uint64) (value []
 	return value, live, found
 }
 
-// takeRecoveredLocked detaches the recovery memtables (caller holds d.mu).
-func (d *DB) takeRecoveredLocked() []*memtable.MemTable {
-	r := d.recovered
-	d.recovered = nil
-	return r
-}
-
 // recoveredBytes sums the recovery memtables' sizes (caller holds d.mu).
 func (d *DB) recoveredBytesLocked() int64 {
 	var n int64

@@ -56,8 +56,9 @@ type Stats struct {
 	CompactBytesOut       atomic.Int64
 	CompactDroppedKeys    atomic.Int64
 
-	// I/O pipeline counters: coalesced range GETs issued by the compaction
-	// prefetcher and by iterator readahead, and the blocks they carried.
+	// I/O pipeline counters: coalesced (multi-block) range GETs issued by
+	// the compaction prefetcher and by iterator readahead, and the blocks
+	// they carried.
 	PrefetchSpans   atomic.Int64
 	PrefetchBlocks  atomic.Int64
 	ReadaheadSpans  atomic.Int64

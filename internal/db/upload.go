@@ -11,11 +11,12 @@ import (
 )
 
 // uploader ships finished compaction output tables to their tier while the
-// merge keeps running. With parallelism <= 1 uploads happen inline on the
-// caller (the historical serial behavior); above that, up to parallelism
-// uploads proceed concurrently, each with uploadTable's retry semantics.
-// wait must be called (and return nil) before the outputs are installed in
-// the manifest, so installation stays atomic.
+// merge keeps running: up to Options.uploadWorkers uploads proceed
+// concurrently, each with uploadTable's retry semantics. An output's buffer
+// is dropped as soon as it is durable, so a compaction holds at most
+// uploadWorkers+1 output tables in memory however many it produces. wait
+// must be called (and return nil) before the outputs are installed in the
+// manifest, so installation stays atomic.
 type uploader struct {
 	d    *DB
 	warm bool
@@ -35,21 +36,14 @@ type uploader struct {
 // dur returns the summed upload wall time recorded so far.
 func (u *uploader) dur() time.Duration { return time.Duration(u.ns.Load()) }
 
-func (d *DB) newUploader(parallelism int, warm bool) *uploader {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	return &uploader{d: d, warm: warm, sem: make(chan struct{}, parallelism)}
+func (d *DB) newUploader(warm bool) *uploader {
+	return &uploader{d: d, warm: warm, sem: make(chan struct{}, d.opts.uploadWorkers)}
 }
 
-// add hands a finished table to the pool. It blocks only when parallelism
+// add hands a finished table to the pool. It blocks only when uploadWorkers
 // uploads are already in flight (backpressure so the merge cannot build
 // output tables faster than they drain).
 func (u *uploader) add(t *builtTable) {
-	if cap(u.sem) <= 1 {
-		u.record(t, u.uploadOne(t))
-		return
-	}
 	u.sem <- struct{}{}
 	u.wg.Add(1)
 	go func() {
@@ -82,6 +76,9 @@ func (u *uploader) record(t *builtTable, err error) {
 		}
 		return
 	}
+	// The table is durable in its tier and warmed: install and abort need
+	// only its metadata from here on.
+	t.data = nil
 	u.uploaded = append(u.uploaded, t)
 }
 
